@@ -109,12 +109,14 @@ func runBattery(t *testing.T, name string, fig func(o Options) any) {
 // TestCacheBatteryDrivers runs the cold==warm==verify battery over one
 // driver of each cached shape: the full-result Map2 grid (EndToEnd), the
 // scalar-projection grid (Fig6), the job-slice path (Fig20), the non-sim
-// cell codec (Fig9) and the coupled-fleet codec (FleetLB, plus the sharded
-// FleetScale cells that reuse it).
+// cell codec (Fig9), the coupled-fleet codec (FleetLB, plus the sharded
+// FleetScale cells that reuse it) and the per-architecture search vectors
+// (Fig18, two request types at 2 ms windows).
 func TestCacheBatteryDrivers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
+	fig18 := fig18Options(t, 2*sim.Millisecond, 1, "HomeT", "CPost")
 	figs := []struct {
 		name string
 		fn   func(o Options) any
@@ -127,6 +129,10 @@ func TestCacheBatteryDrivers(t *testing.T) {
 		{"FleetScale", func(o Options) any { o.FleetSizes = []int{2, 4}; return FleetScale(o) }},
 		{"FleetControl", func(o Options) any { return FleetControl(o) }},
 		{"FleetGraph", func(o Options) any { return FleetGraph(o) }},
+		{"Fig18", func(o Options) any {
+			fig18.Parallel = o.Parallel
+			return Fig18(fig18)
+		}},
 	}
 	for _, f := range figs {
 		f := f

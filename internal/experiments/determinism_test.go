@@ -40,6 +40,25 @@ func TestEndToEndParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestFig18ParallelDeterminism: the per-architecture searches run as sweep
+// jobs, so the rows must be identical on one worker and on four. Short mode
+// runs it at tiny fidelity (one request type, 1 ms windows), which is what
+// the race detector gate uses.
+func TestFig18ParallelDeterminism(t *testing.T) {
+	o := fig18Options(t, 2*sim.Millisecond, 1, "HomeT", "CPost")
+	if testing.Short() {
+		o = fig18Options(t, sim.Millisecond, 1, "CPost")
+	}
+	sequential := Fig18(o)
+	if len(sequential) != 3*len(o.Apps) {
+		t.Fatalf("%d rows, want %d", len(sequential), 3*len(o.Apps))
+	}
+	o.Parallel = 4
+	if parallel := Fig18(o); !reflect.DeepEqual(sequential, parallel) {
+		t.Fatalf("Fig 18 rows differ between 1 and 4 workers:\n 1: %v\n 4: %v", sequential, parallel)
+	}
+}
+
 // TestFig3ParallelDeterminism covers the Map2 path plus keyed per-cell seeds.
 func TestFig3ParallelDeterminism(t *testing.T) {
 	if testing.Short() {

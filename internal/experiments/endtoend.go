@@ -142,9 +142,12 @@ type Fig18Row struct {
 
 // Fig18 reproduces Figure 18. The searched request types are restricted to
 // o.Apps (the full default suite covers all eight); the offered load is
-// always the full mix. The per-(arch, type) binary searches are independent,
-// so each runs as one sweep job (its probes stay sequential — a search is
-// inherently iterative).
+// always the full mix. A probe simulates the whole mix at one RPS and reads
+// neither the searched type nor its QoS limit, so the searches of one
+// architecture share their probes: each architecture runs as one sweep job
+// that bisects every type, in mix order, against one probe table
+// (fig18Search). The three jobs are independent; the probes inside a job
+// stay sequential, as a search is inherently iterative.
 func Fig18(o Options) []Fig18Row {
 	o = o.normalized()
 	catalog := o.Apps[0].Catalog
@@ -165,74 +168,121 @@ func Fig18(o Options) []Fig18Row {
 			return mixedRunAt(cfg, o, 100, 2*sim.Second)
 		})
 
-	// Stage 2: one QoS search per (architecture, request type).
-	type searchJob struct {
+	// Stage 2: one QoS search job per architecture, over every wanted type.
+	type archJob struct {
 		cfg   machine.Config
-		root  int
-		limit float64
+		roots []fig18Root
 		hiRPS float64
 	}
-	var jobs []searchJob
+	jobs := make([]archJob, len(archs))
 	for i, cfg := range archs {
-		limits := map[int]float64{}
-		for root, sum := range cfRuns[i].PerRoot {
-			limits[root] = 5 * sum.Mean
-		}
-		hi := 400000.0
+		jobs[i] = archJob{cfg: cfg, hiRPS: 400000}
 		if cfg.Name == "ServerClass-40" {
-			hi = 80000
+			jobs[i].hiRPS = 80000
 		}
 		for _, e := range mix {
-			if !wanted[e.Root] {
-				continue
+			if wanted[e.Root] {
+				limit := 5 * cfRuns[i].PerRoot[e.Root].Mean
+				jobs[i].roots = append(jobs[i].roots, fig18Root{Root: e.Root, Limit: limit})
 			}
-			jobs = append(jobs, searchJob{cfg: cfg, root: e.Root, limit: limits[e.Root], hiRPS: hi})
 		}
 	}
 	maxes := sweep.MapCached(o.Parallel, jobs,
-		func(_ int, j searchJob) []byte {
-			// The whole binary search is one cell: its probes are an
+		func(_ int, j archJob) []byte {
+			// The architecture's searches are one cell: their probes are an
 			// iterative refinement, so the cacheable unit is the search
-			// outcome. Everything a probe reads is in the preimage — the
-			// searched config, the QoS limit from stage 1, the search
-			// bounds, and the probe RunConfig (rps 0: the search sets it).
+			// outcomes. Everything a probe reads is in the preimage — the
+			// searched config, the types and QoS limits from stage 1, the
+			// search bounds and tolerance, and the probe RunConfig (rps 0:
+			// the search sets it).
 			rc := o.mixedRC(0, o.Duration)
 			if rc.Obs != nil || rc.Telemetry != nil {
 				return nil
 			}
-			return sweepcache.NewKey("fig18/search").
+			return sweepcache.NewKey("fig18/arch").
 				Any("cfg", j.cfg).
-				Int("root", int64(j.root)).
-				Float("limit", j.limit).
+				Any("roots", j.roots).
 				Float("lo", fig18SearchLoRPS).
 				Float("hi", j.hiRPS).
+				Float("tol", fig18SearchTol).
 				Any("rc", rc).
 				Preimage()
 		},
-		sweep.Float64Codec(),
-		func(_ int, j searchJob) float64 {
-			ok := func(rps float64) bool {
-				res := mixedRunAt(j.cfg, o, rps, o.Duration)
-				bad := float64(res.Rejected) + float64(res.Unfinished)
-				if res.Completed == 0 || bad > 0.01*float64(res.Submitted) {
-					return false
-				}
-				sum, okRoot := res.PerRoot[j.root]
-				return okRoot && sum.N > 0 && sum.P99 <= j.limit
+		sweep.Float64sCodec(),
+		func(_ int, j archJob) []float64 {
+			probe := func(rps float64) fig18Verdict {
+				return newFig18Verdict(mixedRunAt(j.cfg, o, rps, o.Duration))
 			}
-			return binarySearchMax(ok, fig18SearchLoRPS, j.hiRPS)
+			return fig18Search(probe, j.roots, fig18SearchLoRPS, j.hiRPS)
 		})
-	rows := make([]Fig18Row, len(jobs))
+	var rows []Fig18Row
 	for i, j := range jobs {
-		rows[i] = Fig18Row{App: catalog.Service(j.root).Name, Arch: j.cfg.Name, MaxRPS: maxes[i]}
+		for k, r := range j.roots {
+			rows = append(rows, Fig18Row{App: catalog.Service(r.Root).Name, Arch: j.cfg.Name, MaxRPS: maxes[i][k]})
+		}
 	}
 	return rows
 }
 
-// fig18SearchLoRPS is the QoS search's lower bound. It is part of every
-// fig18/search cell's preimage: changing it must invalidate cached search
-// outcomes.
-const fig18SearchLoRPS = 2000
+// The QoS search's lower bound and tolerance. Both are part of every
+// fig18/arch cell's preimage: changing either invalidates cached outcomes.
+const (
+	fig18SearchLoRPS = 2000
+	fig18SearchTol   = 0.06
+)
+
+// fig18Root is one searched request type and its QoS limit, 5× its
+// contention-free average latency.
+type fig18Root struct {
+	Root  int
+	Limit float64
+}
+
+// fig18Verdict is what the QoS test reads from one probe: whether the run
+// as a whole was healthy (it completed requests, and rejected or left
+// unfinished at most 1% of its submissions) and the P99 of every request
+// type with at least one measured request.
+type fig18Verdict struct {
+	ok  bool
+	p99 map[int]float64
+}
+
+func newFig18Verdict(res *machine.Result) fig18Verdict {
+	bad := float64(res.Rejected) + float64(res.Unfinished)
+	v := fig18Verdict{
+		ok:  res.Completed > 0 && bad <= 0.01*float64(res.Submitted),
+		p99: map[int]float64{},
+	}
+	for root, sum := range res.PerRoot {
+		if sum.N > 0 {
+			v.p99[root] = sum.P99
+		}
+	}
+	return v
+}
+
+// fig18Search returns each root's QoS-bounded maximum load in [lo, hi],
+// bisecting the roots in order against one probe table: probe runs only the
+// first time an RPS is asked for, and a later search that reaches the same
+// RPS reads the stored verdict. Every root sees the probe sequence and
+// verdicts a search of its own would, so its answer is unchanged.
+func fig18Search(probe func(rps float64) fig18Verdict, roots []fig18Root, lo, hi float64) []float64 {
+	table := map[float64]fig18Verdict{}
+	maxes := make([]float64, len(roots))
+	for i, r := range roots {
+		ok := func(rps float64) bool {
+			v, seen := table[rps]
+			if !seen {
+				v = probe(rps)
+				table[rps] = v
+			}
+			p99, measured := v.p99[r.Root]
+			return v.ok && measured && p99 <= r.Limit
+		}
+		maxes[i] = machine.BinarySearchMax(ok, lo, hi, fig18SearchTol)
+	}
+	return maxes
+}
 
 // mixedRC is the RunConfig of one mixed-workload cell — the single
 // definition shared by the cells that execute it and the cache preimages
@@ -252,23 +302,6 @@ func (o Options) mixedRC(rps float64, dur sim.Time) machine.RunConfig {
 
 func mixedRunAt(cfg machine.Config, o Options, rps float64, dur sim.Time) *machine.Result {
 	return machine.Run(cfg, o.mixedRC(rps, dur))
-}
-
-// binarySearchMax finds the largest x in [lo, hi] with ok(x), assuming ok
-// is (noisily) monotone decreasing; returns lo when even lo fails.
-func binarySearchMax(ok func(float64) bool, lo, hi float64) float64 {
-	if !ok(lo) {
-		return lo
-	}
-	for hi-lo > 0.06*lo {
-		mid := (lo + hi) / 2
-		if ok(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Sec68Row is one cell of the §6.8 iso-area comparison: the 128-core

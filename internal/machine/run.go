@@ -317,11 +317,18 @@ func MaxQoSThroughput(cfg Config, app *workload.App, qosFactor float64, loRPS, h
 		}
 		return res.Latency.P99 <= limit
 	}
-	if !ok(loRPS) {
-		return loRPS
+	return BinarySearchMax(ok, loRPS, hiRPS, 0.05)
+}
+
+// BinarySearchMax finds the largest x in [lo, hi] with ok(x), assuming ok is
+// (noisily) monotone decreasing; returns lo when even lo fails. It bisects
+// until the bracket is narrower than tol×lo. It is the one QoS search of the
+// repository: MaxQoSThroughput and Figure 18 both call it.
+func BinarySearchMax(ok func(float64) bool, lo, hi, tol float64) float64 {
+	if !ok(lo) {
+		return lo
 	}
-	lo, hi := loRPS, hiRPS
-	for hi-lo > 0.05*lo {
+	for hi-lo > tol*lo {
 		mid := (lo + hi) / 2
 		if ok(mid) {
 			lo = mid

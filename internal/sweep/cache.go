@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -98,6 +99,20 @@ func decodeFloat64Cell(b []byte) (float64, error) {
 		return 0, fmt.Errorf("sweep: non-finite cached value %v", v)
 	}
 	return v, nil
+}
+
+// Float64sCodec carries ordered vector cell results (one QoS throughput per
+// searched request type) as a JSON array; encoding/json writes floats in
+// shortest round-trip form and refuses NaN and ±Inf.
+func Float64sCodec() CellCodec[[]float64] {
+	return CellCodec[[]float64]{
+		Encode: func(vs []float64) ([]byte, error) { return json.Marshal(vs) },
+		Decode: func(b []byte) ([]float64, error) {
+			var vs []float64
+			err := json.Unmarshal(b, &vs)
+			return vs, err
+		},
+	}
 }
 
 // Cache traffic counters, surfaced through /metrics and /progress alongside

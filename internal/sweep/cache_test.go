@@ -213,3 +213,28 @@ func TestFloat64CodecRoundTripAndRejectsNonFinite(t *testing.T) {
 		t.Fatal("Decode(+Inf) succeeded")
 	}
 }
+
+func TestFloat64sCodecRoundTripAndRejectsMalformed(t *testing.T) {
+	codec := Float64sCodec()
+	for _, vs := range [][]float64{{}, {0}, {19671.875, 387562.5, 1e-300, -1}} {
+		b, err := codec.Encode(vs)
+		if err != nil {
+			t.Fatalf("Encode(%v): %v", vs, err)
+		}
+		got, err := codec.Decode(b)
+		if err != nil || !reflect.DeepEqual(got, vs) {
+			t.Fatalf("Decode(Encode(%v)) = %v, %v", vs, got, err)
+		}
+	}
+	if b, _ := codec.Encode([]float64{1.5, 2}); string(b) != "[1.5,2]" {
+		t.Fatalf("Encode = %q, want [1.5,2]", b)
+	}
+	if _, err := codec.Encode([]float64{1, math.NaN()}); err == nil {
+		t.Fatal("Encode accepted NaN")
+	}
+	for _, bad := range []string{"", "[", "1,2", "[1,]", "[1,+Inf]", "[1;2]"} {
+		if _, err := codec.Decode([]byte(bad)); err == nil {
+			t.Fatalf("Decode(%q) succeeded", bad)
+		}
+	}
+}

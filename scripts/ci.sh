@@ -37,8 +37,11 @@ fi
 # quick included. The fleet package includes the cross-server trace-stitching
 # tests (TestFleetStitchedTracing, TestStitchedObsShardWorkerDeterminism),
 # which exercise obs.Merge against the concurrent worker pool.
-echo "== go test -race (obs + sweep + sweepcache + telemetry + pdes + fleet + control + whatif) =="
+echo "== go test -race (obs + sweep + sweepcache + telemetry + pdes + fleet + control + whatif + svcgraph + fig18) =="
 go test -race -short ./internal/obs/... ./internal/sweep/... ./internal/sweepcache/... ./internal/telemetry/... ./internal/pdes/... ./internal/fleet/... ./internal/control/... ./internal/whatif/... ./internal/svcgraph/...
+# Fig 18's per-architecture QoS searches run as jobs on the sweep pool;
+# race-check its tiny-fidelity 1-vs-4 worker invariance test too.
+go test -race -short -run Fig18 ./internal/experiments
 
 # Cache gate: a cold run must fill the cache, a warm run must reuse it, a
 # verify run must recompute without a single byte of drift — and all three
