@@ -12,9 +12,11 @@ type FatTree struct {
 	leaves int
 	levels int
 	p      LinkParams
-	up     map[int]*Link // node -> link to parent
-	down   map[int]*Link // node -> link from parent
-	all    []*Link
+	// up[k] / down[k] are the links between node k and its parent, indexed
+	// by heap-order node number (entries 0 and 1, the root, are nil).
+	up   []*Link
+	down []*Link
+	all  []*Link
 }
 
 // NewFatTree builds a binary fat-tree over `leaves` endpoints; leaves must
@@ -23,7 +25,7 @@ func NewFatTree(leaves int, p LinkParams) *FatTree {
 	if leaves < 2 || leaves&(leaves-1) != 0 {
 		panic("icn: fat-tree leaves must be a power of two >= 2")
 	}
-	f := &FatTree{leaves: leaves, p: p, up: make(map[int]*Link), down: make(map[int]*Link)}
+	f := &FatTree{leaves: leaves, p: p, up: make([]*Link, 2*leaves), down: make([]*Link, 2*leaves)}
 	for n := leaves; n > 1; n >>= 1 {
 		f.levels++
 	}
@@ -67,67 +69,56 @@ func (f *FatTree) Links() []*Link { return f.all }
 // MaxHops implements Topology.
 func (f *FatTree) MaxHops() int { return 2 * f.levels }
 
-// Path implements Topology: up to the LCA, then down.
-func (f *FatTree) Path(src, dst int, _ *rand.Rand) []*Link {
+// AppendPath implements Topology: up to the LCA, then down.
+func (f *FatTree) AppendPath(buf []*Link, src, dst int, _ *rand.Rand) []*Link {
 	if src < 0 || dst < 0 || src >= f.leaves || dst >= f.leaves {
 		panic(pathError("fat-tree", src, dst, f.leaves))
 	}
-	if src == dst {
-		return nil
-	}
 	a := src + f.leaves
 	b := dst + f.leaves
-	var upPath []*Link
-	var downPath []*Link
-	for a != b {
-		if a > b {
-			upPath = append(upPath, f.up[a])
-			a /= 2
-		} else {
-			downPath = append(downPath, f.down[b])
-			b /= 2
-		}
+	// Leaves share a depth, so the LCA is d levels above both.
+	d := 0
+	for a>>d != b>>d {
+		d++
 	}
-	// downPath was collected from destination upward; reverse it.
-	path := upPath
-	for i := len(downPath) - 1; i >= 0; i-- {
-		path = append(path, downPath[i])
+	for n := a; n > a>>d; n /= 2 {
+		buf = append(buf, f.up[n])
 	}
-	return path
+	return f.appendDown(buf, b, d)
+}
+
+// appendDown appends the d descending links that end at node n.
+func (f *FatTree) appendDown(buf []*Link, n, d int) []*Link {
+	for k := d - 1; k >= 0; k-- {
+		buf = append(buf, f.down[n>>k])
+	}
+	return buf
 }
 
 // NodeCount returns the total number of network hubs (2*leaves - 1),
 // reported to verify the paper's "63 NHs" configuration.
 func (f *FatTree) NodeCount() int { return 2*f.leaves - 1 }
 
-// PathToRoot returns the ascending links from a leaf to the root, where the
-// package's top-level NIC and memory controllers attach. Storage/external
-// traffic leaves the package this way.
-func (f *FatTree) PathToRoot(leaf int) []*Link {
+// AppendPathToRoot appends the ascending links from a leaf to the root,
+// where the package's top-level NIC and memory controllers attach, to buf.
+// Storage/external traffic leaves the package this way.
+func (f *FatTree) AppendPathToRoot(buf []*Link, leaf int) []*Link {
 	if leaf < 0 || leaf >= f.leaves {
 		panic(pathError("fat-tree", leaf, 0, f.leaves))
 	}
-	var path []*Link
 	for n := leaf + f.leaves; n > 1; n /= 2 {
-		path = append(path, f.up[n])
+		buf = append(buf, f.up[n])
 	}
-	return path
+	return buf
 }
 
-// PathFromRoot returns the descending links from the root to a leaf.
-func (f *FatTree) PathFromRoot(leaf int) []*Link {
+// AppendPathFromRoot appends the descending links from the root to a leaf
+// to buf.
+func (f *FatTree) AppendPathFromRoot(buf []*Link, leaf int) []*Link {
 	if leaf < 0 || leaf >= f.leaves {
 		panic(pathError("fat-tree", leaf, 0, f.leaves))
 	}
-	var rev []*Link
-	for n := leaf + f.leaves; n > 1; n /= 2 {
-		rev = append(rev, f.down[n])
-	}
-	path := make([]*Link, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, rev[i])
-	}
-	return path
+	return f.appendDown(buf, leaf+f.leaves, f.levels)
 }
 
 var _ Topology = (*FatTree)(nil)

@@ -74,26 +74,34 @@ type Topology interface {
 	// NumEndpoints is the number of addressable endpoints (leaf routers for
 	// trees, all routers for meshes).
 	NumEndpoints() int
-	// Path returns the ordered links from endpoint src to endpoint dst.
-	// src == dst yields an empty path. rng breaks ties among redundant
-	// equal-cost paths.
-	Path(src, dst int, rng *rand.Rand) []*Link
+	// AppendPath appends the ordered links from endpoint src to endpoint
+	// dst to buf and returns the extended slice; src == dst appends
+	// nothing. rng breaks ties among redundant equal-cost paths. Callers
+	// that route per message pass a reused buffer, so routing allocates
+	// nothing.
+	AppendPath(buf []*Link, src, dst int, rng *rand.Rand) []*Link
 	// Links exposes every link (for utilization reports and resets).
 	Links() []*Link
 	// MaxHops is the longest possible path length.
 	MaxHops() int
 }
 
-// Deliver walks the path from src to dst starting at now and returns the
-// arrival time and hop count. It is the single entry point the machine
-// models use.
-func Deliver(t Topology, now sim.Time, src, dst, sizeBytes int, rng *rand.Rand, contention bool) (sim.Time, int) {
-	path := t.Path(src, dst, rng)
-	at := now
-	for _, l := range path {
-		at = l.Traverse(at, sizeBytes, contention)
+// Deliver routes a message from src to dst starting at now. It overwrites
+// buf (the caller's reusable route buffer) with the route, walks it, and
+// returns the arrival time and the route; the route's length is the hop
+// count. It is the single entry point the machine models use.
+func Deliver(t Topology, buf []*Link, now sim.Time, src, dst, sizeBytes int, rng *rand.Rand, contention bool) (sim.Time, []*Link) {
+	route := t.AppendPath(buf[:0], src, dst, rng)
+	return Traverse(route, now, sizeBytes, contention), route
+}
+
+// Traverse walks a message of sizeBytes over route, link by link, starting
+// at now and returns its arrival time at the route's last router.
+func Traverse(route []*Link, now sim.Time, sizeBytes int, contention bool) sim.Time {
+	for _, l := range route {
+		now = l.Traverse(now, sizeBytes, contention)
 	}
-	return at, len(path)
+	return now
 }
 
 // ResetAll clears contention state on every link of the topology.

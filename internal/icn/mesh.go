@@ -1,41 +1,47 @@
 package icn
 
-import (
-	"math/rand"
-
-	"umanycore/internal/sim"
-)
+import "math/rand"
 
 // Mesh is a W×H 2D mesh with XY dimension-order routing (the ServerClass
 // baseline's ICN). Every router is an endpoint.
 type Mesh struct {
-	w, h  int
-	p     LinkParams
-	links map[[2]int]*Link
-	all   []*Link
+	w, h int
+	p    LinkParams
+	// out[id][dir] is router id's outgoing link toward +x, -x, +y, -y
+	// (nil on the mesh edge).
+	out [][4]*Link
+	all []*Link
 }
+
+// Mesh link directions, the second index of Mesh.out.
+const (
+	east = iota
+	west
+	south
+	north
+)
 
 // NewMesh builds a W×H mesh.
 func NewMesh(w, h int, p LinkParams) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic("icn: mesh dimensions must be positive")
 	}
-	m := &Mesh{w: w, h: h, p: p, links: make(map[[2]int]*Link)}
-	add := func(a, b int) {
+	m := &Mesh{w: w, h: h, p: p, out: make([][4]*Link, w*h)}
+	add := func(a, b, dir int) {
 		l := newLink(a, b, p)
-		m.links[[2]int{a, b}] = l
+		m.out[a][dir] = l
 		m.all = append(m.all, l)
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			id := y*w + x
 			if x+1 < w {
-				add(id, id+1)
-				add(id+1, id)
+				add(id, id+1, east)
+				add(id+1, id, west)
 			}
 			if y+1 < h {
-				add(id, id+w)
-				add(id+w, id)
+				add(id, id+w, south)
+				add(id+w, id, north)
 			}
 		}
 	}
@@ -54,34 +60,34 @@ func (m *Mesh) Links() []*Link { return m.all }
 // MaxHops implements Topology.
 func (m *Mesh) MaxHops() int { return (m.w - 1) + (m.h - 1) }
 
-// Path implements Topology with XY routing: move along X to the destination
-// column, then along Y.
-func (m *Mesh) Path(src, dst int, _ *rand.Rand) []*Link {
+// AppendPath implements Topology with XY routing: move along X to the
+// destination column, then along Y.
+func (m *Mesh) AppendPath(buf []*Link, src, dst int, _ *rand.Rand) []*Link {
 	n := m.w * m.h
 	if src < 0 || dst < 0 || src >= n || dst >= n {
 		panic(pathError("mesh", src, dst, n))
 	}
-	var path []*Link
-	sx, sy := src%m.w, src/m.w
+	id := src
 	dx, dy := dst%m.w, dst/m.w
-	x, y := sx, sy
-	for x != dx {
-		nx := x + 1
-		if dx < x {
-			nx = x - 1
+	for x := src % m.w; x != dx; {
+		if dx > x {
+			buf = append(buf, m.out[id][east])
+			x, id = x+1, id+1
+		} else {
+			buf = append(buf, m.out[id][west])
+			x, id = x-1, id-1
 		}
-		path = append(path, m.links[[2]int{y*m.w + x, y*m.w + nx}])
-		x = nx
 	}
-	for y != dy {
-		ny := y + 1
-		if dy < y {
-			ny = y - 1
+	for y := src / m.w; y != dy; {
+		if dy > y {
+			buf = append(buf, m.out[id][south])
+			y, id = y+1, id+m.w
+		} else {
+			buf = append(buf, m.out[id][north])
+			y, id = y-1, id-m.w
 		}
-		path = append(path, m.links[[2]int{y*m.w + x, ny*m.w + x}])
-		y = ny
 	}
-	return path
+	return buf
 }
 
 var _ Topology = (*Mesh)(nil)
@@ -93,7 +99,7 @@ var _ Topology = (*Mesh)(nil)
 type Crossbar struct {
 	n     int
 	p     LinkParams
-	links map[[2]int]*Link
+	links []*Link // links[src*n+dst]; nil on the diagonal
 	all   []*Link
 }
 
@@ -102,14 +108,14 @@ func NewCrossbar(n int, p LinkParams) *Crossbar {
 	if n <= 0 {
 		panic("icn: crossbar size must be positive")
 	}
-	c := &Crossbar{n: n, p: p, links: make(map[[2]int]*Link)}
+	c := &Crossbar{n: n, p: p, links: make([]*Link, n*n)}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if a == b {
 				continue
 			}
 			l := newLink(a, b, p)
-			c.links[[2]int{a, b}] = l
+			c.links[a*n+b] = l
 			c.all = append(c.all, l)
 		}
 	}
@@ -128,22 +134,15 @@ func (c *Crossbar) Links() []*Link { return c.all }
 // MaxHops implements Topology.
 func (c *Crossbar) MaxHops() int { return 1 }
 
-// Path implements Topology.
-func (c *Crossbar) Path(src, dst int, _ *rand.Rand) []*Link {
+// AppendPath implements Topology.
+func (c *Crossbar) AppendPath(buf []*Link, src, dst int, _ *rand.Rand) []*Link {
 	if src < 0 || dst < 0 || src >= c.n || dst >= c.n {
 		panic(pathError("crossbar", src, dst, c.n))
 	}
 	if src == dst {
-		return nil
+		return buf
 	}
-	return []*Link{c.links[[2]int{src, dst}]}
+	return append(buf, c.links[src*c.n+dst])
 }
 
 var _ Topology = (*Crossbar)(nil)
-
-// meshHopCheck is a compile-time-ish helper for tests.
-func meshCoord(m *Mesh, id int) (x, y int) { return id % m.w, id / m.w }
-
-// silence unused warning when tests don't use it
-var _ = meshCoord
-var _ = sim.Time(0)

@@ -87,6 +87,10 @@ type Machine struct {
 	// plain machine.Run is unchanged.
 	rng *sim.Streams
 
+	// route is the reusable ICN route buffer: every message's path is
+	// appended into it, so routing allocates nothing per message.
+	route []*icn.Link
+
 	invSeq uint64
 }
 
@@ -155,8 +159,11 @@ type invocation struct {
 	parent  *invocation
 	pending int // outstanding children
 	entry   *rq.Entry
-	root    bool
-	start   sim.Time
+	// ctx is the request's RQ context memory on hardware-queue machines;
+	// it lives in the invocation so admission allocates no separate one.
+	ctx   rq.Context
+	root  bool
+	start sim.Time
 	// lastCore is the global core ID this invocation last ran on, -1 if
 	// never scheduled.
 	lastCore int
@@ -542,7 +549,7 @@ func (m *Machine) submitRootSvc(svcID int, demand float64, onResp func(done sim.
 			m.trace.Add(inv.span, obs.StageIngress, now, at)
 		}
 	}
-	m.eng.At(at, func() { m.enqueue(inv) })
+	m.eng.Call(at, m, evEnqueue, inv, nil)
 }
 
 // SetRemoteSender couples this machine to a fleet: child RPCs drawing the
@@ -583,7 +590,7 @@ func (m *Machine) SubmitRemote(svcID int, demand float64, link uint64, onDone fu
 	if inv.span != 0 && at > now {
 		m.trace.Add(inv.span, obs.StageIngress, now, at)
 	}
-	m.eng.At(at, func() { m.enqueue(inv) })
+	m.eng.Call(at, m, evEnqueue, inv, nil)
 }
 
 // OutstandingRoots reports accepted root requests not yet completed or
@@ -648,9 +655,10 @@ func (m *Machine) enqueue(inv *invocation) {
 		inv.enqAt = m.eng.Now()
 	}
 	if dom.hwq != nil {
-		e := dom.hwq.Enqueue(inv.svc.ID, &rq.Context{RequestID: inv.id, UserData: inv})
+		inv.ctx = rq.Context{RequestID: inv.id, UserData: inv}
+		e := dom.hwq.Enqueue(inv.svc.ID, &inv.ctx)
 		if e == nil {
-			if !dom.nicbuf.Offer(inv.svc.ID, &rq.Context{RequestID: inv.id, UserData: inv}) {
+			if !dom.nicbuf.Offer(inv.svc.ID, &inv.ctx) {
 				m.reject(inv)
 				return
 			}
@@ -673,14 +681,21 @@ func (m *Machine) enqueue(inv *invocation) {
 	// completes.
 	enqCost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.EnqueueCycles))*m.lockFactor(dom)), m.sp.sched)
 	grant := dom.sched.Acquire(m.eng.Now(), enqCost)
-	m.eng.At(grant, func() {
-		dom.swq = append(dom.swq, inv)
-		if m.mx != nil {
+	m.eng.Call(grant, m, evSWQAdmit, dom, inv)
+}
+
+// swqPush makes an invocation visible on its domain's software queue once
+// the enqueue critical section completes. admit marks a first arrival, as
+// opposed to a requeue after unblocking, for the admission metric.
+func (m *Machine) swqPush(dom *domain, inv *invocation, admit bool) {
+	dom.swq = append(dom.swq, inv)
+	if m.mx != nil {
+		if admit {
 			m.mx.admitSWQ.Inc()
-			m.observeQueueDepth(1)
 		}
-		m.kick(dom)
-	})
+		m.observeQueueDepth(1)
+	}
+	m.kick(dom)
 }
 
 // reject drops a request that found both the RQ and the NIC buffer full
@@ -939,7 +954,7 @@ func (m *Machine) dispatch(c *core) {
 	busy := end - popAt
 	m.coreBusy += busy
 	c.busyTime += busy
-	m.eng.At(end, func() { m.segmentEnd(c, inv) })
+	m.eng.Call(end, m, evSegmentEnd, c, inv)
 }
 
 // computeDur samples one compute stage's duration: the service-time draw,
@@ -959,8 +974,8 @@ func (m *Machine) computeDur(inv *invocation, op workload.Op, c *core) sim.Time 
 func (m *Machine) injectCoherenceTraffic(dom *domain) {
 	rng := m.rand("coherence")
 	dst := rng.Intn(m.topo.NumEndpoints())
-	icn.Deliver(m.topo, m.eng.Now(), dom.endpoint, dst, 64, rng, m.cfg.ICNContention)
-	icn.Deliver(m.topo, m.eng.Now(), dst, dom.endpoint, 64, rng, m.cfg.ICNContention)
+	m.deliver(m.eng.Now(), dom.endpoint, dst, 64, rng)
+	m.deliver(m.eng.Now(), dst, dom.endpoint, 64, rng)
 }
 
 // segmentEnd advances past the finished compute op and performs the next
@@ -982,7 +997,7 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 		}
 		m.coreBusy += dur
 		c.busyTime += dur
-		m.eng.After(dur, func() { m.segmentEnd(c, inv) })
+		m.eng.Call(m.eng.Now()+dur, m, evSegmentEnd, c, inv)
 	case workload.OpStorage:
 		inv.opIdx++
 		saved := m.block(c, inv, 1)
@@ -1021,13 +1036,13 @@ func (m *Machine) segmentEnd(c *core, inv *invocation) {
 					m.trace.Add(inv.span, obs.StageNet, out+lat, back)
 				}
 			}
-			m.eng.At(back, func() { m.resolveChild(inv) })
+			m.eng.Call(back, m, evResolveChild, inv, nil)
 		} else {
 			if inv.span != 0 {
 				sid := m.trace.Add(inv.span, obs.StageStorage, saved, saved+lat)
 				m.trace.AddRetries(sid, retries)
 			}
-			m.eng.At(saved+lat, func() { m.resolveChild(inv) })
+			m.eng.Call(saved+lat, m, evResolveChild, inv, nil)
 		}
 	case workload.OpCall:
 		inv.opIdx++
@@ -1071,7 +1086,7 @@ func (m *Machine) block(c *core, inv *invocation, n int) sim.Time {
 	}
 	m.coreBusy += saved - now
 	c.busyTime += saved - now
-	m.eng.At(saved, func() { m.release(c) })
+	m.eng.Call(saved, m, evRelease, c, nil)
 	return saved
 }
 
@@ -1113,7 +1128,7 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 	dep := saved + m.scaledCycles(m.cfg.SendProcCycles, m.sp.rpc)
 	src := m.srcEndpoint(c)
 	dst := m.dstEndpoint(child.dom, rng)
-	at, hops := icn.Deliver(m.topo, dep, src, dst, m.cfg.ReqMsgBytes, rng, m.cfg.ICNContention)
+	at, hops := m.deliver(dep, src, dst, m.cfg.ReqMsgBytes, rng)
 	m.hopSum += uint64(hops)
 	m.msgCount++
 	at += m.cfg.NICHWDelay
@@ -1130,7 +1145,7 @@ func (m *Machine) sendChild(c *core, parent *invocation, svcID int, saved sim.Ti
 			m.trace.Add(child.span, obs.StageNet, dep, at)
 		}
 	}
-	m.eng.At(at, func() { m.enqueue(child) })
+	m.eng.Call(at, m, evEnqueue, child, nil)
 }
 
 // sendChildRemote ships a child RPC to a peer server through the fleet
@@ -1181,7 +1196,7 @@ func (m *Machine) sendChildRemote(c *core, parent *invocation, svcID int, saved 
 			}
 			m.trace.End(span, at)
 		}
-		m.eng.At(at, func() { m.resolveChild(parent) })
+		m.eng.Call(at, m, evResolveChild, parent, nil)
 	})
 	if span != 0 {
 		m.trace.SetLink(span, link)
@@ -1198,28 +1213,29 @@ func (m *Machine) ioEndpoint() int { return 0 }
 // endpoint to the package I/O attach point.
 func (m *Machine) ioDeliverOut(dep sim.Time, from, size int) (sim.Time, int) {
 	if ft, ok := m.topo.(*icn.FatTree); ok {
-		path := ft.PathToRoot(from)
-		at := dep
-		for _, l := range path {
-			at = l.Traverse(at, size, m.cfg.ICNContention)
-		}
-		return at, len(path)
+		m.route = ft.AppendPathToRoot(m.route[:0], from)
+		return icn.Traverse(m.route, dep, size, m.cfg.ICNContention), len(m.route)
 	}
-	return icn.Deliver(m.topo, dep, from, m.ioEndpoint(), size, m.rand("icn"), m.cfg.ICNContention)
+	return m.deliver(dep, from, m.ioEndpoint(), size, m.rand("icn"))
 }
 
 // ioDeliverIn routes an inbound message from the package I/O attach point
 // to a domain endpoint.
 func (m *Machine) ioDeliverIn(dep sim.Time, to, size int) (sim.Time, int) {
 	if ft, ok := m.topo.(*icn.FatTree); ok {
-		path := ft.PathFromRoot(to)
-		at := dep
-		for _, l := range path {
-			at = l.Traverse(at, size, m.cfg.ICNContention)
-		}
-		return at, len(path)
+		m.route = ft.AppendPathFromRoot(m.route[:0], to)
+		return icn.Traverse(m.route, dep, size, m.cfg.ICNContention), len(m.route)
 	}
-	return icn.Deliver(m.topo, dep, m.ioEndpoint(), to, size, m.rand("icn"), m.cfg.ICNContention)
+	return m.deliver(dep, m.ioEndpoint(), to, size, m.rand("icn"))
+}
+
+// deliver routes one on-package message from endpoint src to dst through
+// the machine's reusable route buffer and returns its arrival time and hop
+// count.
+func (m *Machine) deliver(now sim.Time, src, dst, size int, rng *rand.Rand) (sim.Time, int) {
+	var at sim.Time
+	at, m.route = icn.Deliver(m.topo, m.route, now, src, dst, size, rng, m.cfg.ICNContention)
+	return at, len(m.route)
 }
 
 // srcEndpoint maps a sending core to its topology endpoint.
@@ -1265,13 +1281,7 @@ func (m *Machine) unblock(inv *invocation) {
 	// Software: re-enqueued at the tail (arrival priority lost).
 	enqCost := shrink(0, sim.Time(float64(m.cfg.CyclesToTime(m.cfg.Policy.EnqueueCycles))*m.lockFactor(dom)), m.sp.sched)
 	grant := dom.sched.Acquire(m.eng.Now(), enqCost)
-	m.eng.At(grant, func() {
-		dom.swq = append(dom.swq, inv)
-		if m.mx != nil {
-			m.observeQueueDepth(1)
-		}
-		m.kick(dom)
-	})
+	m.eng.Call(grant, m, evSWQRequeue, dom, inv)
 }
 
 // complete finishes an invocation: the Complete instruction, the response
@@ -1323,34 +1333,16 @@ func (m *Machine) respond(inv *invocation) {
 			inv.onResp(at, false)
 		}
 		if inv.measured {
-			done := at
-			lat := (done - inv.start).Micros()
-			root := inv.svc.ID
-			m.eng.At(at, func() {
-				m.Latency.Add(lat)
-				if m.tele != nil {
-					m.tele.ObserveLatency(lat)
-				}
-				if m.teleCtl != nil {
-					m.teleCtl.ObserveLatency(lat)
-				}
-				byRoot := m.LatencyByRoot[root]
-				if byRoot == nil {
-					byRoot = &stats.Sample{}
-					m.LatencyByRoot[root] = byRoot
-				}
-				byRoot.Add(lat)
-				m.Completed++
-			})
+			m.eng.Call(at, m, evRootDone, inv, nil)
 		} else {
-			m.eng.At(at, func() { m.Completed++ })
+			m.eng.Call(at, m, evCompleted, nil, nil)
 		}
 		return
 	}
 	parent := inv.parent
 	src := inv.dom.endpoint
 	dst := parent.dom.endpoint
-	at, hops := icn.Deliver(m.topo, m.eng.Now(), src, dst, m.cfg.RespMsgBytes, rng, m.cfg.ICNContention)
+	at, hops := m.deliver(m.eng.Now(), src, dst, m.cfg.RespMsgBytes, rng)
 	m.hopSum += uint64(hops)
 	m.msgCount++
 	at += m.cfg.NICHWDelay
@@ -1364,7 +1356,66 @@ func (m *Machine) respond(inv *invocation) {
 		}
 		m.trace.End(inv.span, at)
 	}
-	m.eng.At(at, func() { m.resolveChild(parent) })
+	m.eng.Call(at, m, evResolveChild, parent, nil)
+}
+
+// rootDone records a measured root whose response has left the package:
+// its end-to-end latency runs from arrival to now.
+func (m *Machine) rootDone(inv *invocation) {
+	lat := (m.eng.Now() - inv.start).Micros()
+	m.Latency.Add(lat)
+	if m.tele != nil {
+		m.tele.ObserveLatency(lat)
+	}
+	if m.teleCtl != nil {
+		m.teleCtl.ObserveLatency(lat)
+	}
+	byRoot := m.LatencyByRoot[inv.svc.ID]
+	if byRoot == nil {
+		byRoot = &stats.Sample{}
+		m.LatencyByRoot[inv.svc.ID] = byRoot
+	}
+	byRoot.Add(lat)
+	m.Completed++
+}
+
+// Event kinds of the machine's hot path, scheduled with sim.Engine.Call and
+// dispatched by Fire. The operand comments give Fire's (a, b).
+const (
+	evEnqueue      = iota // (*invocation, -): arrival at its domain's queue
+	evSegmentEnd          // (*core, *invocation): a compute segment ends
+	evResolveChild        // (*invocation, -): one child response arrives
+	evRelease             // (*core, -): the core's context save completes
+	evSWQAdmit            // (*domain, *invocation): software enqueue lands
+	evSWQRequeue          // (*domain, *invocation): software re-enqueue lands
+	evRootDone            // (*invocation, -): a measured root's response leaves
+	evCompleted           // (-, -): an unmeasured root's response leaves
+)
+
+// Fire implements sim.Handler: it runs one of the machine's typed events.
+// Per-message events go through here instead of closures, so the hot path
+// allocates no event state.
+func (m *Machine) Fire(kind int, a, b any) {
+	switch kind {
+	case evEnqueue:
+		m.enqueue(a.(*invocation))
+	case evSegmentEnd:
+		m.segmentEnd(a.(*core), b.(*invocation))
+	case evResolveChild:
+		m.resolveChild(a.(*invocation))
+	case evRelease:
+		m.release(a.(*core))
+	case evSWQAdmit:
+		m.swqPush(a.(*domain), b.(*invocation), true)
+	case evSWQRequeue:
+		m.swqPush(a.(*domain), b.(*invocation), false)
+	case evRootDone:
+		m.rootDone(a.(*invocation))
+	case evCompleted:
+		m.Completed++
+	default:
+		panic(fmt.Sprintf("machine: unknown event kind %d", kind))
+	}
 }
 
 // Utilization reports aggregate core busy time over the window.

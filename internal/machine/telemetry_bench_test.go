@@ -45,8 +45,7 @@ func BenchmarkMachineRunTelemetryOn(b *testing.B) {
 
 // TestTelemetryOffZeroAllocDelta asserts the allocation half of the
 // contract against the same baseline as TestObsOffZeroAllocDelta: a
-// telemetry-off run allocates exactly what it did before the layer
-// existed.
+// telemetry-off run allocates exactly the pinned uninstrumented count.
 func TestTelemetryOffZeroAllocDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is slow")

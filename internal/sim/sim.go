@@ -1,16 +1,24 @@
 // Package sim provides the deterministic discrete-event simulation kernel
 // that underpins every architectural model in this repository.
 //
-// The kernel is intentionally small: a virtual clock, a binary heap of
+// The kernel is intentionally small: a virtual clock, a 4-ary heap of
 // timestamped events, and named pseudo-random streams. Determinism is a hard
 // requirement — two runs with the same seed must produce bit-identical
 // results — so ties between events at the same timestamp are broken by a
 // monotonically increasing sequence number, and all randomness is drawn from
 // streams derived from the engine seed plus a stream name.
+//
+// Events come in two forms that share one node type and one fire path.
+// Engine.Call schedules a typed event — a Handler, an int kind and two
+// operands — and allocates nothing once the node free list is warm; it is
+// for hot paths such as the machine model's per-message events. Engine.At
+// and Engine.After schedule a closure (an Event), which costs a closure
+// allocation whenever the closure captures per-event state; they are for
+// cold paths such as control loops, telemetry ticks and fleet dispatch,
+// where the clarity of a closure is worth more than the allocation.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -60,14 +68,32 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a callback scheduled to run at a point in virtual time.
+// Event is a callback scheduled to run at a point in virtual time. Closure
+// events are for cold paths (control loops, telemetry ticks, the fleet
+// dispatcher); hot paths schedule typed events with Engine.Call.
 type Event func()
 
+// Fire makes a closure Event a Handler, so At and After schedule closures
+// through the same node and the same fire path as Call.
+func (f Event) Fire(int, any, any) { f() }
+
+// Handler receives typed events. Fire runs the event of the given kind with
+// the two operands it was scheduled with. A model that schedules millions of
+// events implements Handler once and switches on kind, instead of allocating
+// a closure per event: pointer operands travel in a and b without
+// allocating.
+type Handler interface {
+	Fire(kind int, a, b any)
+}
+
+// scheduled is one event node. Nodes are recycled through the engine's
+// free list, so steady-state scheduling allocates nothing.
 type scheduled struct {
-	at    Time
-	seq   uint64
-	fn    Event
-	index int // heap index; -1 once popped or cancelled
+	h    Handler
+	kind int
+	a, b any
+	// index is the node's heap position; -1 once popped or cancelled.
+	index int
 	// gen guards recycled nodes: a Handle is only live while its generation
 	// matches, so a stale Handle cannot cancel a later event that happens to
 	// reuse the same node from the free list.
@@ -80,35 +106,94 @@ type Handle struct {
 	gen uint32
 }
 
-// Cancelled reports whether the event was cancelled or already fired.
+// live reports whether the event is still pending (not fired or cancelled).
 func (h Handle) live() bool { return h.s != nil && h.s.index >= 0 && h.s.gen == h.gen }
 
-type eventHeap []*scheduled
+// slot is one heap position. The ordering key (at, seq) sits inline next to
+// the node pointer, so sift comparisons never dereference a node.
+type slot struct {
+	at  Time
+	seq uint64
+	s   *scheduled
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq). seq is unique per engine, so the order
+// is total: any correct priority queue pops the same sequence.
+func (x slot) before(y slot) bool {
+	return x.at < y.at || (x.at == y.at && x.seq < y.seq)
+}
+
+// eventHeap is a 4-ary min-heap ordered by (at, seq). Each node records its
+// position in index, so Cancel removes interior nodes in O(log n). Four
+// children per position halve the depth of a binary heap and keep a
+// sift-down's sibling comparisons on adjacent slots.
+type eventHeap []slot
+
+func (h eventHeap) set(i int, x slot) {
+	h[i] = x
+	x.s.index = i
+}
+
+func (h eventHeap) up(i int) {
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(h[p]) {
+			break
+		}
+		h.set(i, h[p])
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h.set(i, x)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down sifts h[i] toward the leaves and reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	x := h[i]
+	i0 := i
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(h[best]) {
+				best = j
+			}
+		}
+		if !h[best].before(x) {
+			break
+		}
+		h.set(i, h[best])
+		i = best
+	}
+	h.set(i, x)
+	return i != i0
 }
-func (h *eventHeap) Push(x any) {
-	s := x.(*scheduled)
-	s.index = len(*h)
-	*h = append(*h, s)
+
+func (h *eventHeap) push(x slot) {
+	*h = append(*h, x)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
+
+// remove takes the event at position i out of the heap and returns its node.
+func (h *eventHeap) remove(i int) *scheduled {
 	old := *h
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	s := old[i].s
+	last := old[n]
+	old[n] = slot{}
+	rest := old[:n]
+	*h = rest
+	if i < n {
+		rest.set(i, last)
+		if !rest.down(i) {
+			rest.up(i)
+		}
+	}
 	s.index = -1
-	*h = old[:n-1]
 	return s
 }
 
@@ -155,8 +240,8 @@ func NewEngineCap(seed int64, capHint int) *Engine {
 // in place, so replicate loops can reuse one engine with bit-identical
 // results.
 func (e *Engine) Reset(seed int64) {
-	for _, s := range e.events {
-		e.recycle(s)
+	for _, x := range e.events {
+		e.recycle(x.s)
 	}
 	e.events = e.events[:0]
 	e.now = 0
@@ -173,7 +258,7 @@ func (e *Engine) Reset(seed int64) {
 
 // recycle returns a node to the free list, invalidating outstanding handles.
 func (e *Engine) recycle(s *scheduled) {
-	s.fn = nil
+	s.h, s.a, s.b = nil, nil, nil
 	s.index = -1
 	s.gen++
 	e.free = append(e.free, s)
@@ -208,21 +293,26 @@ func (e *Engine) MaxPending() int { return e.maxPending }
 // pool recycling reused its storage.
 func (e *Engine) Resets() uint64 { return e.resets }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it is always a model bug.
-func (e *Engine) At(t Time, fn Event) Handle {
+// Call schedules a typed event at absolute time t: at t the engine runs
+// h.Fire(kind, a, b). It is the allocation-free scheduling primitive of hot
+// paths. Scheduling in the past panics: it is always a model bug.
+func (e *Engine) Call(t Time, h Handler, kind int, a, b any) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	s := e.node()
-	s.at, s.seq, s.fn = t, e.seq, fn
+	s.h, s.kind, s.a, s.b = h, kind, a, b
+	e.events.push(slot{at: t, seq: e.seq, s: s})
 	e.seq++
-	heap.Push(&e.events, s)
 	if len(e.events) > e.maxPending {
 		e.maxPending = len(e.events)
 	}
 	return Handle{s: s, gen: s.gen}
 }
+
+// At schedules fn to run at absolute time t. Scheduling in the past panics:
+// it is always a model bug.
+func (e *Engine) At(t Time, fn Event) Handle { return e.Call(t, fn, 0, nil, nil) }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Time, fn Event) Handle {
@@ -238,8 +328,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	if !h.live() {
 		return false
 	}
-	heap.Remove(&e.events, h.s.index)
-	e.recycle(h.s)
+	e.recycle(e.events.remove(h.s.index))
 	return true
 }
 
@@ -257,19 +346,19 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for len(e.events) > 0 && !e.stopped {
-		next := e.events[0]
-		if next.at > deadline {
+		at := e.events[0].at
+		if at > deadline {
 			break
 		}
-		heap.Pop(&e.events)
-		e.now = next.at
+		next := e.events.remove(0)
+		e.now = at
 		e.fired++
-		fn := next.fn
-		// Recycle before firing: fn frequently schedules a follow-up event
-		// (arrival loops, timer chains), which can then reuse this node
-		// immediately instead of allocating.
+		h, kind, a, b := next.h, next.kind, next.a, next.b
+		// Recycle before firing: the handler frequently schedules a
+		// follow-up event (arrival loops, timer chains), which can then
+		// reuse this node immediately instead of allocating.
 		e.recycle(next)
-		fn()
+		h.Fire(kind, a, b)
 	}
 	if !e.stopped && e.now < deadline && deadline < Time(1<<62) {
 		e.now = deadline

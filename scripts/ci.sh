@@ -159,9 +159,9 @@ echo "== bench baseline diff (warn-only) =="
 "$cachedir/umbench" -quick -figures lb -cache "$cachedir/cells" \
     -baseline BENCH_lb_baseline.json -baseline-warn >/dev/null
 
-echo "== bench smoke (allocation + sweep + telemetry benchmarks, 1 iteration) =="
-go test -run xxx -bench 'BenchmarkEngine|BenchmarkMachineRun' -benchtime 1x \
-    -benchmem ./internal/sim/ ./internal/machine/
+echo "== bench smoke (allocation + routing + sweep + telemetry benchmarks, 1 iteration) =="
+go test -run xxx -bench 'BenchmarkEngine|BenchmarkMachineRun|BenchmarkICNPath' -benchtime 1x \
+    -benchmem ./internal/sim/ ./internal/machine/ ./internal/icn/
 go test -run xxx -bench 'BenchmarkEndToEndGridWorkers' -benchtime 1x .
 
 echo "CI OK"
